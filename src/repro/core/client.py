@@ -24,7 +24,7 @@ from repro.core.items import (
     item_key_for_node,
     item_key_for_object,
 )
-from repro.core.remainder import FrontierItem, RemainderQuery
+from repro.core.remainder import FrontierItem, RemainderQuery, near
 from repro.geometry import Point, Rect
 from repro.obs import instrument as obs
 from repro.obs.instrument import perf_clock
@@ -266,167 +266,135 @@ class ClientQueryProcessor:
     def _execute_join(self, query: JoinQuery) -> ClientExecution:
         execution = ClientExecution(query=query)
         window = query.window
-        threshold = query.threshold
         if not self.root_mbr.intersects(window):
             return execution
+        threshold_sq = query.threshold * query.threshold
+        cache = self.cache
+        frontier = execution.frontier
+        saved = execution.saved_objects
+        examined = 0
+        NODE, SUPER, OBJECT = 0, 1, 2
+        # A side is a flat tuple (kind, id, aux, min_x, min_y, max_x, max_y,
+        # mbr, payload): aux is a super entry's code, an object's owning
+        # leaf, and None for a node.  Joins only touch the cache, never
+        # insert or evict, so whether a side resolves locally is fixed for
+        # the whole join: an object side carries its cached payload (None
+        # when missing), and a node's expansion is memoised (None when the
+        # node is not cached) keeping only the children that meet the
+        # window.  The hit-accounting touch still lands once per expansion.
+        expansions: Dict[int, Optional[List[Tuple]]] = {}
 
-        root_side = ("node", self.root_id, self.root_mbr)
-        stack: List[Tuple[Tuple, Tuple, bool]] = [(root_side, root_side, False)]
-        seen_pairs: Set[Tuple] = set()
-        result_pairs: Set[Tuple[int, int]] = set()
-
-        def side_key(side: Tuple) -> Tuple:
-            kind = side[0]
-            if kind == "node":
-                return ("n", side[1])
-            if kind == "super":
-                return ("s", side[1], side[2])
-            return ("o", side[1])
-
-        def side_mbr(side: Tuple) -> Rect:
-            return side[-1] if side[0] != "object" else side[2]
-
-        # Same inlining as the server's join predicate: one call per
-        # candidate pair, hoisted window coords, squared MINDIST.
-        w_min_x, w_min_y = window.min_x, window.min_y
-        w_max_x, w_max_y = window.max_x, window.max_y
-        threshold_sq = threshold * threshold
-
-        def qualifies(a: Tuple, b: Tuple) -> bool:
-            mbr_a = a[2] if a[0] == "object" else a[-1]
-            mbr_b = b[2] if b[0] == "object" else b[-1]
-            if (mbr_a.min_x > w_max_x or mbr_a.max_x < w_min_x
-                    or mbr_a.min_y > w_max_y or mbr_a.max_y < w_min_y):
-                return False
-            if (mbr_b.min_x > w_max_x or mbr_b.max_x < w_min_x
-                    or mbr_b.min_y > w_max_y or mbr_b.max_y < w_min_y):
-                return False
-            dx = mbr_a.min_x - mbr_b.max_x
-            if dx < 0.0:
-                dx = mbr_b.min_x - mbr_a.max_x
-                if dx < 0.0:
-                    dx = 0.0
-            dy = mbr_a.min_y - mbr_b.max_y
-            if dy < 0.0:
-                dy = mbr_b.min_y - mbr_a.max_y
-                if dy < 0.0:
-                    dy = 0.0
-            return dx * dx + dy * dy <= threshold_sq
-
-        # Memoised per query: a cached node's side list never changes while
-        # the join runs (joins only touch, never insert or evict), but the
-        # hit-accounting touch must still land once per expansion, exactly
-        # as the unmemoised walk performed it.
-        expand_cache: Dict[int, Optional[List[Tuple]]] = {}
-
-        def expand(side: Tuple) -> Optional[List[Tuple]]:
-            """Expand a node side into child sides; None when not possible locally."""
-            kind = side[0]
-            if kind != "node":
-                return None
-            node_id = side[1]
-            if node_id in expand_cache:
-                cached = expand_cache[node_id]
-                if cached is not None:
-                    self._touch_node(node_id)
-                return cached
-            snapshot = self.cache.get_node(node_id)
-            if snapshot is None:
-                expand_cache[node_id] = None
-                return None
-            self._touch_node(node_id)
-            sides: List[Tuple] = []
-            for element in snapshot.entries():
-                if element.is_super:
-                    sides.append(("super", node_id, element.code, element.mbr))
-                elif element.is_node_entry:
-                    sides.append(("node", element.child_id, element.mbr))
-                else:
-                    sides.append(("object", element.object_id, element.mbr, node_id))
-            expand_cache[node_id] = sides
-            return sides
+        def expand(node_id: int) -> Optional[List[Tuple]]:
+            if node_id in expansions:
+                return expansions[node_id]
+            snapshot = cache.get_node(node_id)
+            children: Optional[List[Tuple]] = None
+            if snapshot is not None:
+                children = []
+                side: Tuple
+                for element in snapshot.entries():
+                    mbr = element.mbr
+                    if not mbr.intersects(window):
+                        continue
+                    payload = None
+                    if element.is_super:
+                        side = (SUPER, node_id, element.code)
+                    elif element.is_node_entry:
+                        side = (NODE, element.child_id, None)
+                    else:
+                        side = (OBJECT, element.object_id, node_id)
+                        payload = cache.get_object(element.object_id)
+                    children.append(side + (mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y,
+                                            mbr, payload))
+            expansions[node_id] = children
+            return children
 
         def to_target(side: Tuple) -> FrontierTarget:
-            kind = side[0]
-            if kind == "node":
-                return FrontierTarget.for_node(side[1], side[2])
-            if kind == "super":
-                return FrontierTarget.for_super(side[1], side[2], side[3])
-            return FrontierTarget.for_object(side[1], side[2], parent_node_id=side[3],
-                                             confirm_only=self.cache.has_object(side[1]))
+            if side[0] == NODE:
+                return FrontierTarget.for_node(side[1], side[7])
+            if side[0] == SUPER:
+                return FrontierTarget.for_super(side[1], side[2], side[7])
+            return FrontierTarget.for_object(side[1], side[7], parent_node_id=side[2],
+                                             confirm_only=side[8] is not None)
 
-        def resolvable(side: Tuple) -> bool:
-            kind = side[0]
-            if kind == "super":
-                return False
-            if kind == "node":
-                return self.cache.has_node(side[1])
-            return self.cache.has_object(side[1])
-
+        # Seen keys differ in shape per pair kind: (lo_id, hi_id) for two
+        # objects, (id, aux, object_id) for a node or super entry and an
+        # object, a sorted pair of (kind, id, aux) triples otherwise.
+        seen: Set[Tuple] = set()
+        key: Tuple
+        children: Optional[List[Tuple]]
+        root = self.root_mbr
+        root_side = (NODE, self.root_id, None, root.min_x, root.min_y, root.max_x,
+                     root.max_y, root, None)
+        # The root pair meets the window (checked above) at MINDIST 0; every
+        # later pair is pushed only after passing the pair predicate.
+        stack: List[Tuple[Tuple, Tuple]] = [(root_side, root_side)]
         while stack:
-            side_a, side_b, prequalified = stack.pop()
-            execution.examined_elements += 1
-            if not prequalified and not qualifies(side_a, side_b):
-                continue
-            key_a, key_b = side_key(side_a), side_key(side_b)
-            pair_key = (key_a, key_b) if key_a <= key_b else (key_b, key_a)
-            if pair_key in seen_pairs:
-                continue
-            seen_pairs.add(pair_key)
-
-            # A pair is a missing pair as soon as either entry is missing
-            # (Algorithm 1, footnote 3): it goes into the frontier untouched.
-            if not (resolvable(side_a) and resolvable(side_b)):
-                if side_a[0] == "object" and side_b[0] == "object" and side_a[1] == side_b[1]:
+            side_a, side_b = stack.pop()
+            examined += 1
+            if side_a[0] != OBJECT:
+                key_a, key_b = side_a[:3], side_b[:3]
+                key = (key_a, key_b) if key_a <= key_b else (key_b, key_a)
+                if key in seen:
                     continue
-                execution.frontier.append((to_target(side_a), to_target(side_b)))
-                continue
-
-            a_is_object = side_a[0] == "object"
-            b_is_object = side_b[0] == "object"
-            if a_is_object and b_is_object:
-                id_a, id_b = side_a[1], side_b[1]
-                if id_a == id_b:
+                seen.add(key)
+                children = None
+                if side_a[0] == NODE and side_b[0] == NODE and cache.has_node(side_b[1]):
+                    children = expand(side_a[1])
+                if children is None:
+                    # A pair is a missing pair as soon as either side is
+                    # missing (Algorithm 1, footnote 3): it goes into the
+                    # frontier untouched.
+                    frontier.append((to_target(side_a), to_target(side_b)))
                     continue
-                cached_a = self.cache.get_object(id_a)
-                cached_b = self.cache.get_object(id_b)
-                self._touch_object(id_a)
-                self._touch_object(id_b)
-                result_pairs.add(tuple(sorted((id_a, id_b))))
-                execution.saved_objects[id_a] = cached_a
-                execution.saved_objects[id_b] = cached_b
+                self._touch_node(side_a[1])
+                stack.extend([(child, side_b) for child in near(children, side_b, threshold_sq)])
                 continue
 
-            # Both sides resolvable and at least one is a node: expand one side
-            # and pair its children with the other side.
-            if not a_is_object:
-                expanded, other = expand(side_a), side_b
-            else:
-                expanded, other = expand(side_b), side_a
-            if expanded is None:  # pragma: no cover - defensive (resolvable node)
-                execution.frontier.append((to_target(side_a), to_target(side_b)))
+            # An object o and a node N (side_b of a pushed pair is a node).
+            # Every pair below (o, N) is (descendant of N, o) and, stacked
+            # LIFO, would come off before anything beneath it: so they run
+            # here as one depth-first descent for o, in that same order.
+            obj, node = side_a, side_b
+            object_id, held = obj[1], obj[8]
+            key = (node[1], node[2], object_id)
+            if key in seen:
                 continue
-            # Inline child-vs-other predicate (same shape as the server's):
-            # `other` already passed the window test as part of this pair.
-            o_mbr = other[2] if other[0] == "object" else other[-1]
-            o_min_x, o_min_y = o_mbr.min_x, o_mbr.min_y
-            o_max_x, o_max_y = o_mbr.max_x, o_mbr.max_y
-            push = stack.append
-            for child in expanded:
-                c_mbr = child[2] if child[0] == "object" else child[-1]
-                if (c_mbr.min_x > w_max_x or c_mbr.max_x < w_min_x
-                        or c_mbr.min_y > w_max_y or c_mbr.max_y < w_min_y):
-                    continue
-                dx = c_mbr.min_x - o_max_x
-                if dx < 0.0:
-                    dx = o_min_x - c_mbr.max_x
-                    if dx < 0.0:
-                        dx = 0.0
-                dy = c_mbr.min_y - o_max_y
-                if dy < 0.0:
-                    dy = o_min_y - c_mbr.max_y
-                    if dy < 0.0:
-                        dy = 0.0
-                if dx * dx + dy * dy <= threshold_sq:
-                    push((child, other, True))
+            seen.add(key)
+            children = expand(node[1]) if held is not None else None
+            if children is None:
+                frontier.append((to_target(obj), to_target(node)))
+                continue
+            self._touch_node(node[1])
+            descent = near(children, obj, threshold_sq)
+            while descent:
+                side = descent.pop()
+                examined += 1
+                side_id, kind = side[1], side[0]
+                if kind == OBJECT:
+                    key = ((side_id, object_id) if side_id <= object_id
+                           else (object_id, side_id))
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    if side_id == object_id:
+                        continue
+                    if side[8] is not None:
+                        self._touch_object(side_id)
+                        self._touch_object(object_id)
+                        saved[side_id] = side[8]
+                        saved[object_id] = held
+                        continue
+                else:
+                    key = (side_id, side[2], object_id)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    children = expand(side_id) if kind == NODE else None
+                    if children is not None:
+                        self._touch_node(side_id)
+                        descent.extend(near(children, obj, threshold_sq))
+                        continue
+                frontier.append((to_target(side), to_target(obj)))
+        execution.examined_elements = examined
         return execution

@@ -14,6 +14,32 @@ from repro.workload.queries import Query
 FrontierItem = Tuple[FrontierTarget, ...]
 
 
+def near(sides: Sequence[Tuple], other: Tuple, threshold_sq: float) -> List[Tuple]:
+    """The join sides within the threshold distance of ``other``.
+
+    Both join kernels (server and client) hold a side as a flat tuple with
+    its MBR's ``min_x, min_y, max_x, max_y`` at positions 3 to 6; a side is
+    kept when the squared MINDIST of the two MBRs is at most
+    ``threshold_sq``.
+    """
+    o_min_x, o_min_y, o_max_x, o_max_y = other[3:7]
+    kept = []
+    for side in sides:
+        dx = side[3] - o_max_x
+        if dx < 0.0:
+            dx = o_min_x - side[5]
+            if dx < 0.0:
+                dx = 0.0
+        dy = side[4] - o_max_y
+        if dy < 0.0:
+            dy = o_min_y - side[6]
+            if dy < 0.0:
+                dy = 0.0
+        if dx * dx + dy * dy <= threshold_sq:
+            kept.append(side)
+    return kept
+
+
 @dataclass(**DATACLASS_SLOTS)
 class RemainderQuery:
     """The execution state handed over to the server (paper Section 3.3).

@@ -19,12 +19,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro._compat import DATACLASS_SLOTS
 from repro.core.items import CacheEntry, FrontierTarget, TargetKind
-from repro.core.remainder import FrontierItem, RemainderQuery
+from repro.core.remainder import FrontierItem, RemainderQuery, near
 from repro.core.supporting_index import IndexForm, SupportingIndexPolicy
 from repro.geometry import Point, Rect
 from repro.obs import instrument as obs
 from repro.obs.instrument import perf_clock
-from repro.rtree.entry import Entry, ObjectRecord
+from repro.rtree.entry import ObjectRecord
 from repro.rtree.partition_tree import PartitionTree, SuperEntry, build_partition_trees
 from repro.rtree.sizes import SizeModel
 from repro.rtree.tree import RTree
@@ -355,150 +355,134 @@ class ServerQueryProcessor:
     def _process_join(self, query: JoinQuery, frontier: List[FrontierItem],
                       recorder: Dict[int, _AccessRecord],
                       policy: SupportingIndexPolicy) -> Tuple[Dict[int, Optional[int]], int]:
-        # The shard router keeps a shard-aware twin of this traversal
-        # (repro.sharding.router.ShardRouter._scatter_join); a semantic
-        # change here must be mirrored there.
+        # ShardRouter._scatter_join walks the same pairs with another loop
+        # shape.  Both must agree on the pair predicate (both MBRs meet the
+        # window, squared MINDIST <= threshold**2), on dedup (each unordered
+        # pair of sides once per query, an object paired with itself yields
+        # nothing, stale frontier sides are dropped) and on `examined` (one
+        # per candidate pair, failing or already seen ones included).
         window = query.window
-        threshold = query.threshold
+        threshold_sq = query.threshold * query.threshold
         results: Dict[int, Optional[int]] = {}
         examined = 0
-
-        def target_to_side(target: FrontierTarget) -> Tuple:
-            if target.kind is TargetKind.OBJECT:
-                return ("object", target.object_id, target.mbr, target.parent_node_id)
-            if target.kind is TargetKind.NODE:
-                return ("node", target.node_id, "", target.mbr)
-            return ("node", target.node_id, target.code, target.mbr)
-
-        def side_mbr(side: Tuple) -> Rect:
-            return side[3] if side[0] == "node" else side[2]
-
-        def side_key(side: Tuple) -> Tuple:
-            if side[0] == "node":
-                return ("n", side[1], side[2])
-            return ("o", side[1])
-
-        # This predicate runs once per candidate pair — the hottest loop of
-        # the whole server — so the window test and the MINDIST comparison
-        # are inlined on hoisted coordinates and squared distances.
-        w_min_x, w_min_y = window.min_x, window.min_y
-        w_max_x, w_max_y = window.max_x, window.max_y
-        threshold_sq = threshold * threshold
-
-        def qualifies(a: Tuple, b: Tuple) -> bool:
-            mbr_a = a[3] if a[0] == "node" else a[2]
-            mbr_b = b[3] if b[0] == "node" else b[2]
-            if (mbr_a.min_x > w_max_x or mbr_a.max_x < w_min_x
-                    or mbr_a.min_y > w_max_y or mbr_a.max_y < w_min_y):
-                return False
-            if (mbr_b.min_x > w_max_x or mbr_b.max_x < w_min_x
-                    or mbr_b.min_y > w_max_y or mbr_b.max_y < w_min_y):
-                return False
-            dx = mbr_a.min_x - mbr_b.max_x
-            if dx < 0.0:
-                dx = mbr_b.min_x - mbr_a.max_x
-                if dx < 0.0:
-                    dx = 0.0
-            dy = mbr_a.min_y - mbr_b.max_y
-            if dy < 0.0:
-                dy = mbr_b.min_y - mbr_a.max_y
-                if dy < 0.0:
-                    dy = 0.0
-            return dx * dx + dy * dy <= threshold_sq
-
-        # A node side is expanded once per pair it appears in; the expansion
-        # is deterministic and the recorder bookkeeping inside _start_node is
-        # idempotent, so repeated expansions of the same (node, base) within
-        # this query are served from a memo.
-        expand_cache: Dict[Tuple[int, str], List[Tuple]] = {}
-
-        def expand(side: Tuple) -> List[Tuple]:
-            cache_key = (side[1], side[2])
-            cached = expand_cache.get(cache_key)
-            if cached is not None:
-                return cached
-            node_id, base = cache_key
-            sides: List[Tuple] = []
-            for owner, element in self._start_node(node_id, base, recorder, policy):
-                if isinstance(element, SuperEntry):
-                    sides.append(("node", owner, element.code, element.mbr))
-                elif element.is_leaf_entry:
-                    sides.append(("object", element.object_id, element.mbr, owner))
-                else:
-                    sides.append(("node", element.child_id, "", element.mbr))
-            expand_cache[cache_key] = sides
-            return sides
-
-        # Stack entries are (side_a, side_b, prequalified).  Children are
-        # only pushed after passing the pair predicate, so re-evaluating it
-        # on pop would always succeed — the flag skips that redundant check
-        # while `examined` still counts every popped pair, exactly as before.
-        def side_alive(side: Tuple) -> bool:
-            # Pairs naming since-deleted objects or freed pages (stale
-            # client state) are unanswerable; drop them.
-            if side[0] == "object":
-                return side[1] in self.tree.objects
-            return side[1] in self.tree.store
-
-        stack: List[Tuple[Tuple, Tuple, bool]] = []
-        for item in frontier:
-            sides = [target_to_side(target) for target in item]
-            if not all(side_alive(side) for side in sides):
-                continue
-            if len(sides) == 2:
-                stack.append((sides[0], sides[1], False))
-            else:
-                stack.append((sides[0], sides[0], False))
+        # A side is a flat tuple (is_object, id, aux, min_x, min_y, max_x,
+        # max_y): aux is the partition-tree code of a node side ("" for the
+        # whole node) and the owning leaf of an object side.  Seen keys
+        # differ in length per pair kind: (lo_id, hi_id) for two objects,
+        # (node_id, code, object_id) and (node_id, code, node_id, code).
         seen: Set[Tuple] = set()
+        side: Tuple
+        key: Tuple
+        # Each (node, code) is expanded once per query (the recorder
+        # bookkeeping in _start_node is idempotent), keeping only the
+        # children that meet the window: the others can never join.
+        expansions: Dict[Tuple[int, str], List[Tuple]] = {}
+
+        def expand(node_id: int, code: str) -> List[Tuple]:
+            children = expansions.get((node_id, code))
+            if children is not None:
+                return children
+            children = []
+            side: Tuple
+            for owner, element in self._start_node(node_id, code, recorder, policy):
+                mbr = element.mbr
+                if not mbr.intersects(window):
+                    continue
+                if isinstance(element, SuperEntry):
+                    side = (False, owner, element.code)
+                elif element.is_leaf_entry:
+                    side = (True, element.object_id, owner)
+                else:
+                    side = (False, element.child_id, "")
+                children.append(side + (mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y))
+            expansions[node_id, code] = children
+            return children
+
+        # Frontier pairs are checked against the pair predicate here; every
+        # pair on the stack has passed it.
+        stack: List[Tuple[Tuple, Tuple]] = []
+        objects, store = self.tree.objects, self.tree.store
+        for item in frontier:
+            sides: List[Tuple] = []
+            for target in item:
+                # Pairs naming since-deleted objects or freed pages (stale
+                # client state) are unanswerable; drop them.
+                if target.kind is TargetKind.OBJECT:
+                    if target.object_id not in objects:
+                        break
+                    side = (True, target.object_id, target.parent_node_id)
+                else:
+                    if target.node_id not in store:
+                        break
+                    side = (False, target.node_id,
+                            "" if target.kind is TargetKind.NODE else target.code)
+                mbr = target.mbr
+                sides.append(side + (mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y))
+            else:
+                side_a, side_b = sides[0], sides[1] if len(sides) == 2 else sides[0]
+                if (all(target.mbr.intersects(window) for target in item)
+                        and near([side_a], side_b, threshold_sq)):
+                    stack.append((side_a, side_b))
+                else:
+                    examined += 1
 
         while stack:
-            side_a, side_b, prequalified = stack.pop()
-            examined += 1
-            if not prequalified and not qualifies(side_a, side_b):
+            side_a, side_b = stack.pop()
+            if not (side_a[0] or side_b[0]):
+                # Two node sides: pair the first one's children with the second.
+                examined += 1
+                key_a, key_b = side_a[1:3], side_b[1:3]
+                key = key_a + key_b if key_a <= key_b else key_b + key_a
+                if key not in seen:
+                    seen.add(key)
+                    stack.extend([(child, side_b)
+                                  for child in near(expand(side_a[1], side_a[2]), side_b,
+                                                    threshold_sq)])
                 continue
-            key_a, key_b = side_key(side_a), side_key(side_b)
-            pair_key = (key_a, key_b) if key_a <= key_b else (key_b, key_a)
-            if pair_key in seen:
-                continue
-            seen.add(pair_key)
-
-            a_is_object = side_a[0] == "object"
-            b_is_object = side_b[0] == "object"
-            if a_is_object and b_is_object:
-                if side_a[1] == side_b[1]:
+            # A pair (side, o), o an object (the second side if both are).
+            # Every pair below it is (descendant of side, o) and, stacked
+            # LIFO, would come off before anything beneath it: so they run
+            # here as one depth-first descent for o, in that same order.
+            side, obj = (side_a, side_b) if side_b[0] else (side_b, side_a)
+            object_id, object_parent = obj[1], obj[2]
+            o_min_x, o_min_y, o_max_x, o_max_y = obj[3:]
+            descent = [side]
+            while descent:
+                side = descent.pop()
+                examined += 1
+                side_id = side[1]
+                if side[0]:
+                    key = ((side_id, object_id) if side_id <= object_id
+                           else (object_id, side_id))
+                    if key not in seen:
+                        seen.add(key)
+                        if side_id != object_id:
+                            results.setdefault(side_id, side[2])
+                            results.setdefault(object_id, object_parent)
                     continue
-                for side in (side_a, side_b):
-                    if side[1] not in results:
-                        results[side[1]] = side[3]
-                continue
-            if not a_is_object:
-                children, other = expand(side_a), side_b
-            else:
-                children, other = expand(side_b), side_a
-            # Inline child-vs-other predicate: `other` survived the pair
-            # check above, so only the child's window test and the mutual
-            # MINDIST remain.
-            o_mbr = other[3] if other[0] == "node" else other[2]
-            o_min_x, o_min_y = o_mbr.min_x, o_mbr.min_y
-            o_max_x, o_max_y = o_mbr.max_x, o_mbr.max_y
-            push = stack.append
-            for child in children:
-                c_mbr = child[3] if child[0] == "node" else child[2]
-                if (c_mbr.min_x > w_max_x or c_mbr.max_x < w_min_x
-                        or c_mbr.min_y > w_max_y or c_mbr.max_y < w_min_y):
+                key = (side_id, side[2], object_id)
+                if key in seen:
                     continue
-                dx = c_mbr.min_x - o_max_x
-                if dx < 0.0:
-                    dx = o_min_x - c_mbr.max_x
+                seen.add(key)
+                children = expansions.get((side_id, side[2]))
+                if children is None:
+                    children = expand(side_id, side[2])
+                # near(children, obj, threshold_sq), inlined: this is the
+                # hottest loop, and calling near() here made the server join
+                # about 18% slower on rush_hour (2-core VM, 12 paired runs).
+                for child in children:
+                    dx = child[3] - o_max_x
                     if dx < 0.0:
-                        dx = 0.0
-                dy = c_mbr.min_y - o_max_y
-                if dy < 0.0:
-                    dy = o_min_y - c_mbr.max_y
+                        dx = o_min_x - child[5]
+                        if dx < 0.0:
+                            dx = 0.0
+                    dy = child[4] - o_max_y
                     if dy < 0.0:
-                        dy = 0.0
-                if dx * dx + dy * dy <= threshold_sq:
-                    push((child, other, True))
+                        dy = o_min_y - child[6]
+                        if dy < 0.0:
+                            dy = 0.0
+                    if dx * dx + dy * dy <= threshold_sq:
+                        descent.append(child)
         return results, examined
 
     # ------------------------------------------------------------------ #
@@ -507,29 +491,35 @@ class ServerQueryProcessor:
     def _build_snapshots(self, recorder: Dict[int, _AccessRecord],
                          policy: SupportingIndexPolicy) -> List[IndexNodeSnapshot]:
         snapshots: List[IndexNodeSnapshot] = []
+        full_form = policy.form is IndexForm.FULL
         for node_id, record in recorder.items():
             node = self.tree.store.peek(node_id)
             pt = self._partition_tree(node_id)
-            elements: Dict[str, CacheEntry] = {}
-            if record.full_access or policy.form is IndexForm.FULL:
-                bases = record.bases or {""}
-                for base in bases:
-                    for code, entry in self._full_elements(pt, base):
-                        elements[code] = self._to_cache_entry(code, entry)
+            bases = record.bases or {""}
+            if record.full_access or full_form:
+                cuts = [[pt.entry_code(entry) for entry in pt.subsets[base]]
+                        for base in bases]
             else:
                 depth = policy.effective_depth(pt.height)
-                for base in record.bases or {""}:
-                    for code, element in pt.subtree_form(base, record.expanded, depth):
-                        elements.setdefault(code, self._to_cache_entry(code, element))
+                cuts = [pt.subtree_codes(base, record.expanded, depth) for base in bases]
+            # Overlapping cuts of several bases keep each code at its first
+            # position.
+            codes = dict.fromkeys(itertools.chain.from_iterable(cuts))
+            # Cache entries are immutable, so each element's entry is built
+            # once per partition tree and shared by every snapshot of it.
+            memo = pt.element_memo
+            elements: List[CacheEntry] = []
+            for code in codes:
+                entry = memo.get(code)
+                if entry is None:
+                    entry = memo[code] = self._to_cache_entry(code, pt.element_at(code))
+                elements.append(entry)
             snapshots.append(IndexNodeSnapshot(node_id=node_id, level=node.level,
                                                parent_id=node.parent_id,
-                                               elements=list(elements.values())))
+                                               elements=elements))
         # Parents first so that the client can attach children when inserting.
         snapshots.sort(key=lambda snap: -snap.level)
         return snapshots
-
-    def _full_elements(self, pt: PartitionTree, base: str) -> List[Tuple[str, Entry]]:
-        return [(pt.entry_code(entry), entry) for entry in pt.entries_under(base)]
 
     @staticmethod
     def _to_cache_entry(code: str, element) -> CacheEntry:

@@ -105,9 +105,9 @@ class ReproServer:
         #: Final ledgers of connections that completed a BYE handshake,
         #: keyed by client name (reconciliation tests read these).
         self.final_ledgers: Dict[str, Dict[str, int]] = {}
-        #: Every connection ever accepted (closed ones keep their flag set);
-        #: the status server reads live ledgers out of this list.
-        self._connections: List[_Connection] = []
+        #: Open connections in accept order (a dict for O(1) removal on
+        #: close); the status server reads live ledgers out of it.
+        self._connections: Dict[_Connection, None] = {}
 
     # ------------------------------------------------------------------ #
     # status-server surface (read from another thread; plain int reads
@@ -121,7 +121,10 @@ class ReproServer:
         """Per-client wire ledgers: live connections overlaid on final ones."""
         ledgers = {name: dict(ledger)
                    for name, ledger in sorted(self.final_ledgers.items())}
-        for connection in self._connections:
+        # list() copies the keys in one step under the GIL; iterating the
+        # dict itself could race with the loop thread removing a closed
+        # connection.
+        for connection in list(self._connections):
             if not connection.closed and connection.name:
                 ledgers[connection.name] = dict(connection.ledger)
         return ledgers
@@ -227,7 +230,7 @@ class ReproServer:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         connection = _Connection(reader, writer)
-        self._connections.append(connection)
+        self._connections[connection] = None
         try:
             if not await self._handshake(connection):
                 return
@@ -240,6 +243,7 @@ class ReproServer:
             await connection.send_error("bad-frame", str(error))
         finally:
             connection.closed = True
+            del self._connections[connection]
             writer.close()
             try:
                 await writer.wait_closed()

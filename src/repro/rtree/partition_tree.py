@@ -16,7 +16,7 @@ compact form, ``d = height`` is the full form).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro._compat import DATACLASS_SLOTS
 from repro.geometry import Rect
@@ -69,6 +69,12 @@ class PartitionTree:
         # caches instead of being recomputed in the query-processing loops.
         self._leaf_codes: Set[str] = set(self._entry_codes.values())
         self._children_cache: Dict[str, List[PartitionElement]] = {}
+        self._expansions: Dict[Tuple[str, int], List[str]] = {}
+        #: Per-code memo for values derived from this tree's elements; the
+        #: query processor keeps the shipped cache-entry form of each
+        #: element here.  It lives exactly as long as the tree: the dataset
+        #: updater drops a mutated node's tree, and the memo with it.
+        self.element_memo: Dict[str, Any] = {}
 
     def _build(self, code: str, entries: List[Entry]) -> None:
         self.subsets[code] = entries
@@ -188,63 +194,63 @@ class PartitionTree:
         return [(code, self.entry_at(code))
                 for code in sorted(self.subsets) if self.is_leaf_code(code)]
 
-    def expand_element(self, code: str, levels: int) -> List[Tuple[str, PartitionElement]]:
-        """Replace the element at ``code`` by its ``levels``-deep descendants.
+    def expand_codes(self, code: str, levels: int) -> List[str]:
+        """The codes that replace the element at ``code``: its ``levels``-deep descendants.
 
         Descendants that are real entries are emitted as soon as they are
         reached, matching the paper's "d level descendant nodes or the
-        entries whichever come first".
+        entries whichever come first".  Memoised: callers only iterate the
+        returned list.
         """
-        results: List[Tuple[str, PartitionElement]] = []
+        codes = self._expansions.get((code, levels))
+        if codes is not None:
+            return codes
+        codes = []
         frontier = [(code, 0)]
         while frontier:
             current, depth = frontier.pop()
-            if self.is_leaf_code(current):
-                results.append((current, self.entry_at(current)))
-            elif depth >= levels:
-                results.append((current, SuperEntry(self.node_id, current, self.mbrs[current])))
+            if self.is_leaf_code(current) or depth >= levels:
+                codes.append(current)
             else:
                 frontier.append((current + "0", depth + 1))
                 frontier.append((current + "1", depth + 1))
-        return results
+        self._expansions[code, levels] = codes
+        return codes
 
     def d_level_form(self, expanded_codes: Set[str], d: int) -> List[Tuple[str, PartitionElement]]:
         """The ``d+``-level compact form (paper Section 4.3)."""
         refined: List[Tuple[str, PartitionElement]] = []
         for code, element in self.compact_form(expanded_codes):
             if isinstance(element, SuperEntry) and d > 0:
-                refined.extend(self.expand_element(code, d))
+                refined.extend((child, self.element_at(child))
+                               for child in self.expand_codes(code, d))
             else:
                 refined.append((code, element))
         return refined
 
-    def subtree_form(self, base_code: str, expanded_codes: Set[str],
-                     d: int) -> List[Tuple[str, PartitionElement]]:
-        """Like :meth:`d_level_form` but restricted to the subtree at ``base_code``.
+    def subtree_codes(self, base_code: str, expanded_codes: Set[str], d: int) -> List[str]:
+        """The codes of the ``d+``-level form restricted to the subtree at ``base_code``.
 
         Used when the server resumes from a super-entry frontier element: it
         only needs to (re)describe the part of the node below that element.
+        Walking down from ``base_code`` through the expanded codes, each
+        first non-expanded code is emitted, a super entry refined by
+        :meth:`expand_codes` when ``d > 0``.
         """
-        cut: List[Tuple[str, PartitionElement]] = []
+        codes: List[str] = []
         stack = [base_code]
         while stack:
             code = stack.pop()
             if self.is_leaf_code(code):
-                cut.append((code, self.entry_at(code)))
+                codes.append(code)
             elif code in expanded_codes:
                 stack.append(code + "0")
                 stack.append(code + "1")
+            elif d > 0:
+                codes.extend(self.expand_codes(code, d))
             else:
-                cut.append((code, SuperEntry(self.node_id, code, self.mbrs[code])))
-        if d <= 0:
-            return cut
-        refined: List[Tuple[str, PartitionElement]] = []
-        for code, element in cut:
-            if isinstance(element, SuperEntry):
-                refined.extend(self.expand_element(code, d))
-            else:
-                refined.append((code, element))
-        return refined
+                codes.append(code)
+        return codes
 
 
 def build_partition_trees(nodes: Iterable[Node]) -> Dict[int, PartitionTree]:

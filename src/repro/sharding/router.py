@@ -635,11 +635,16 @@ class ShardRouter:
         that shard's access recorder, so the ordinary supporting-index
         builder ships exactly the node regions this query touched).
 
-        This is a shard-aware twin of
-        :meth:`repro.core.server.ServerQueryProcessor._process_join` (same
-        side tuples plus an owning-shard slot, same inlined predicate,
-        same seen-pair dedup); a semantic fix to either copy — predicate,
-        dedup, stale-pair handling — must be mirrored in the other.
+        :meth:`repro.core.server.ServerQueryProcessor._process_join` walks
+        the same pair space on a single server with a different loop shape
+        (a per-object descent).  What the two must agree on, so that a
+        1-shard deployment answers exactly like the single server, is the
+        pair predicate (both MBRs meet the window, squared MINDIST at most
+        the squared threshold), the dedup semantics (an unordered pair of
+        sides is processed once per query, a pair naming one object twice
+        yields nothing, pairs with a stale side are dropped) and the
+        ``examined`` accounting (one per pair taken off the work list,
+        including pairs that fail the predicate or were already seen).
         """
         window = query.window
         threshold_sq = query.threshold * query.threshold

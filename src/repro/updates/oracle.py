@@ -7,7 +7,9 @@ mirrors the semantics of the corresponding query processor:
 
 * range — every object whose MBR intersects the window;
 * kNN — the ``k`` objects with smallest MINDIST from their MBR to the query
-  point (ties are measure-zero under the harness's random geometry);
+  point, ties broken by object id.  Ties are not rare: a query point inside
+  several overlapping object MBRs is at MINDIST 0 from all of them, and the
+  R-tree traversal may then pick a different (equally near) subset;
 * join — every object inside the window participating in at least one pair
   within the distance threshold.
 """
@@ -28,7 +30,11 @@ def oracle_range(objects: Dict[int, ObjectRecord], query: RangeQuery) -> List[in
 
 
 def oracle_knn(objects: Dict[int, ObjectRecord], query: KNNQuery) -> List[int]:
-    """Ids of the ``k`` nearest objects by MBR MINDIST (sorted)."""
+    """Ids of the ``k`` nearest objects by MBR MINDIST (sorted).
+
+    Objects are ranked by ``(MINDIST, object id)``: among objects tied at
+    the ``k``-th distance the smallest ids are kept.
+    """
     ranked = sorted(objects.values(),
                     key=lambda record: (record.mbr.min_dist_to_point(query.point),
                                         record.object_id))

@@ -14,6 +14,7 @@ import dataclasses
 import struct
 import tempfile
 import threading
+import time
 
 import pytest
 
@@ -190,6 +191,41 @@ def test_bye_ledger_reconciles_with_the_channel(served):
     assert ledger["wire_bytes_in"] > 0 and ledger["wire_bytes_out"] > 0
     assert repro_server.final_ledgers["bye-check"]["queries_served"] \
         == len(queries)
+
+
+def test_closed_connections_are_pruned():
+    """200 connect -> BYE -> close cycles leave no connection behind.
+
+    Every BYE ledger still lands in ``final_ledgers``; only the closed
+    connection objects are dropped.
+    """
+    base = SimulationConfig.scaled(query_count=8, object_count=600)
+    shared = build_shared_state(base)
+    repro_server = ReproServer(shared.server, shared.size_model)
+    cycles = 200
+    with tempfile.TemporaryDirectory(prefix="repro-net-test-") as workdir:
+        thread = ServerThread(repro_server, "uds", path=f"{workdir}/server.sock")
+        thread.start()
+        try:
+            endpoint = make_endpoint(thread)
+            acks = {}
+            for cycle in range(cycles):
+                connection = Connection(endpoint, shared.size_model,
+                                        f"cycle-{cycle}", timeout=10.0)
+                acks[f"cycle-{cycle}"] = codec.decode_bye_ack(
+                    connection.expect(frames.BYE, b"", frames.BYE_ACK))
+                connection.close()
+            # The server closes its side after sending BYE_ACK; give its
+            # loop a moment to run the handlers' cleanup.
+            deadline = time.monotonic() + 10.0
+            while repro_server._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(repro_server._connections) == 0
+            assert repro_server.final_ledgers == acks
+            assert repro_server.connection_ledgers() == dict(sorted(acks.items()))
+        finally:
+            thread.stop()
+    shared.tree.store.close()
 
 
 # --------------------------------------------------------------------------- #

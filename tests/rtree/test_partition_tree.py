@@ -128,15 +128,15 @@ def test_d_level_form_covers_exactly(pt10):
 
 
 def test_subtree_form_restricted(pt10):
-    cut = pt10.subtree_form("0", expanded_codes=set(), d=0)
-    covered = {e.key() for code, _ in cut for e in pt10.entries_under(code)}
+    codes = pt10.subtree_codes("0", expanded_codes=set(), d=0)
+    covered = {e.key() for code in codes for e in pt10.entries_under(code)}
     assert covered == {e.key() for e in pt10.entries_under("0")}
 
 
 def test_expand_element_reaches_entries(pt10):
-    expanded = pt10.expand_element("", levels=pt10.height)
-    assert all(isinstance(element, Entry) for _, element in expanded)
-    assert len(expanded) == 10
+    codes = pt10.expand_codes("", levels=pt10.height)
+    assert all(isinstance(pt10.element_at(code), Entry) for code in codes)
+    assert len(codes) == 10
 
 
 def test_size_bytes_bounded_by_twice_index(small_tree):
